@@ -11,7 +11,12 @@ from repro.db.planner import (
     execute_planned,
     explain,
 )
-from repro.db.similarity import best_match, jaccard_tokens, jaccard_trigram
+from repro.db.similarity import (
+    best_match,
+    char_trigrams,
+    jaccard_tokens,
+    jaccard_trigram,
+)
 from repro.db.storage import ColumnData, ColumnStore, Database, Row
 from repro.db.vectorized import COLUMNAR_MIN_ROWS, ColumnarTrace
 
@@ -29,6 +34,7 @@ __all__ = [
     "ValueIndex",
     "best_match",
     "build_plan",
+    "char_trigrams",
     "execute",
     "execute_planned",
     "explain",

@@ -6,13 +6,24 @@ attribute names" (paper §4.1).  The runtime parameter handler uses this
 index to anonymize constants in the user's NL query, with a similarity
 fallback for string constants that only approximately match database
 values (e.g. "New York City" vs "NYC").
+
+With the default metric (:func:`~repro.db.similarity.jaccard_trigram`)
+the fallback runs on a trigram inverted index instead of scanning every
+stored value, with the scan's results score for score.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
-from repro.db.similarity import SimilarityFn, best_match, jaccard_trigram
+from repro.db.similarity import (
+    SimilarityFn,
+    best_match,
+    char_trigrams,
+    jaccard_trigram,
+)
 from repro.db.storage import Database
 
 
@@ -52,6 +63,24 @@ class ValueIndex:
                     self._exact.setdefault(key, []).append(
                         (table.name, column.name, value)
                     )
+        # Trigram inverted index for the default metric: every text value
+        # gets an id, ascending in (column, insertion position) order, so
+        # the lowest id is the scan's first-seen tie winner.  An entry is
+        # (column number, value, trigram-set size).  A caller-supplied
+        # metric keeps the scan (§4.1: the metric is pluggable).
+        self._columns = list(self._text_values)
+        self._entries: list[tuple[int, str, int]] = []
+        self._postings: dict[str, list[int]] | None = None
+        if similarity is jaccard_trigram:
+            self._postings = {}
+            for column_no, values in enumerate(self._text_values.values()):
+                for value in values:
+                    trigrams = char_trigrams(value)
+                    for trigram in trigrams:
+                        self._postings.setdefault(trigram, []).append(
+                            len(self._entries)
+                        )
+                    self._entries.append((column_no, value, len(trigrams)))
 
     @staticmethod
     def _normalize(value) -> str:
@@ -75,6 +104,15 @@ class ValueIndex:
         exact = self.lookup(constant)
         if exact:
             return exact
+        if self._postings is None:
+            hits = self._scan(constant)
+        else:
+            hits = self._trigram_search(constant)
+        hits.sort(key=lambda h: (-h.score, h.table, h.column))
+        return hits
+
+    def _scan(self, constant: str) -> list[ValueHit]:
+        """The most similar value of every text column, by a full scan."""
         hits: list[ValueHit] = []
         for (table, column), values in self._text_values.items():
             match, score = best_match(
@@ -82,7 +120,44 @@ class ValueIndex:
             )
             if match is not None:
                 hits.append(ValueHit(table, column, match, score))
-        hits.sort(key=lambda h: (-h.score, h.table, h.column))
+        return hits
+
+    def _trigram_search(self, constant: str) -> list[ValueHit]:
+        """:meth:`_scan` under ``jaccard_trigram``, on the inverted index.
+
+        Values sharing no trigram score 0, which the scan never picks, so
+        only the constant's postings are walked.  Jaccard is at most
+        ``min(|A|, |B|) / max(|A|, |B|)`` and float division is monotone,
+        so a value whose size ratio is below the threshold scores below
+        it too and is dropped unscored.  Survivors are scored exactly as
+        ``jaccard_trigram`` does; per column the highest score wins, ties
+        to the lowest id, then the threshold applies as in ``best_match``.
+        """
+        trigrams = char_trigrams(constant)
+        size = len(trigrams)
+        threshold = self._threshold
+        shared = Counter(
+            chain.from_iterable(self._postings.get(t, ()) for t in trigrams)
+        )
+        best: dict[int, tuple[float, int]] = {}
+        for value_id, common in shared.items():
+            column_no, _, other = self._entries[value_id]
+            if (other / size if other < size else size / other) < threshold:
+                continue
+            score = common / (size + other - common)
+            current = best.get(column_no)
+            if (
+                current is None
+                or score > current[0]
+                or (score == current[0] and value_id < current[1])
+            ):
+                best[column_no] = (score, value_id)
+        hits: list[ValueHit] = []
+        for column_no, (score, value_id) in best.items():
+            if score >= threshold:
+                table, column = self._columns[column_no]
+                value = self._entries[value_id][1]
+                hits.append(ValueHit(table, column, value, score))
         return hits
 
     def columns_for(self, constant: str) -> list[tuple[str, str]]:

@@ -16,21 +16,22 @@ from typing import Callable
 SimilarityFn = Callable[[str, str], float]
 
 
-def _char_ngrams(text: str, n: int = 3) -> set[str]:
+def char_trigrams(text: str) -> frozenset[str]:
+    """The lower-cased character trigrams of ``text``, padded with two
+    leading blanks and one trailing blank.
+
+    Padding weights word starts and makes every set non-empty (the empty
+    string yields ``{"   "}``), so a Jaccard union is never empty.
+    """
     padded = f"  {text.lower()} "
-    if len(padded) < n:
-        return {padded}
-    return {padded[i : i + n] for i in range(len(padded) - n + 1)}
+    return frozenset(padded[i : i + 3] for i in range(len(padded) - 2))
 
 
 def jaccard_trigram(left: str, right: str) -> float:
     """Jaccard index over padded character trigrams."""
-    left_set = _char_ngrams(left)
-    right_set = _char_ngrams(right)
-    union = left_set | right_set
-    if not union:
-        return 1.0
-    return len(left_set & right_set) / len(union)
+    left_set = char_trigrams(left)
+    right_set = char_trigrams(right)
+    return len(left_set & right_set) / len(left_set | right_set)
 
 
 def jaccard_tokens(left: str, right: str) -> float:

@@ -56,6 +56,15 @@ class ParameterHandler:
         self.index = value_index or ValueIndex(
             database, similarity_threshold=similarity_threshold
         )
+        # Schema-element names stay words, not constants: "show me the
+        # names of patients" must not anonymize "patients" just because
+        # some text column happens to contain that string.
+        self._schema_phrases = frozenset(
+            phrase.lower()
+            for table in database.schema.tables
+            for element in (table, *table.columns)
+            for phrase in element.nl_phrases
+        )
 
     # ------------------------------------------------------------------
 
@@ -116,9 +125,10 @@ class ParameterHandler:
     def _match_string(self, tokens: list[str], position: int):
         """Try to match a (multi-word) string constant starting here.
 
-        Longest match first, up to 3 tokens, using exact-then-fuzzy
-        lookup.  The fuzzy path also *corrects* the constant to the most
-        similar stored value ("New York City" -> "NYC", §4.1).
+        Longest match first, up to 3 tokens, using the index's
+        exact-then-fuzzy lookup (exact hits score 1.0).  The fuzzy path
+        also *corrects* the constant to the most similar stored value
+        ("New York City" -> "NYC", §4.1).
         """
         if not tokens[position].isalpha():
             return None
@@ -126,12 +136,9 @@ class ParameterHandler:
             if position + length > len(tokens):
                 continue
             phrase = " ".join(tokens[position : position + length])
-            hits = self.index.lookup(phrase)
-            if not hits:
-                hits = [
-                    h for h in self.index.fuzzy_lookup(phrase) if h.score >= 0.55
-                ]
-            hits = [h for h in hits if not _is_schema_word(phrase, self.database)]
+            if phrase.lower() in self._schema_phrases:
+                continue
+            hits = [h for h in self.index.fuzzy_lookup(phrase) if h.score >= 0.55]
             if hits:
                 hit = hits[0]
                 return (
@@ -179,18 +186,3 @@ def _as_number(token: str) -> int | float | None:
         except ValueError:
             return None
 
-
-def _is_schema_word(phrase: str, database: Database) -> bool:
-    """Schema-element names should stay words, not become constants.
-
-    "show me the names of patients" must not anonymize "patients" just
-    because some text column happens to contain that string.
-    """
-    phrase = phrase.lower()
-    for table in database.schema.tables:
-        if phrase in (p.lower() for p in table.nl_phrases):
-            return True
-        for column in table.columns:
-            if phrase in (p.lower() for p in column.nl_phrases):
-                return True
-    return False

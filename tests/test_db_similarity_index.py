@@ -2,7 +2,14 @@
 
 from hypothesis import given, strategies as st
 
-from repro.db import ValueIndex, best_match, jaccard_tokens, jaccard_trigram, populate
+from repro.db import (
+    ValueIndex,
+    best_match,
+    char_trigrams,
+    jaccard_tokens,
+    jaccard_trigram,
+    populate,
+)
 from repro.schema import patients_schema
 
 
@@ -16,6 +23,10 @@ class TestJaccard:
 
     def test_case_insensitive(self):
         assert jaccard_trigram("Boston", "boston") == 1.0
+
+    def test_trigrams_are_padded_and_lower_cased(self):
+        assert char_trigrams("Ab") == {"  a", " ab", "ab "}
+        assert char_trigrams("") == {"   "}
 
     def test_partial_overlap_ranks_correctly(self):
         close = jaccard_trigram("influenza", "influenzza")
