@@ -378,13 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the query, printing rows and per-stage timings",
     )
     db_explain.add_argument(
-        "--columnar",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="vectorized execution arm: auto (row-count threshold), "
-        "on (force), off (row path only)",
-    )
-    db_explain.add_argument(
         "--backend",
         choices=("memory", "sqlite"),
         default="memory",
@@ -871,8 +864,7 @@ def cmd_db(args) -> int:
     print(explain(query, database))
     if args.execute:
         recorder = PerfRecorder()
-        columnar = {"auto": None, "on": True, "off": False}[args.columnar]
-        session = ExecutorSession(database, recorder=recorder, columnar=columnar)
+        session = ExecutorSession(database, recorder=recorder)
         rows = session.execute(query)
         print(f"\n{len(rows)} row(s)")
         for row in rows[:20]:
@@ -880,19 +872,6 @@ def cmd_db(args) -> int:
         if len(rows) > 20:
             print(f"  ... ({len(rows) - 20} more)")
         print(recorder.format_table(title="executor perf"))
-        trace = session.last_columnar_trace
-        if trace is not None:
-            summary = (
-                f"columnar steps: {trace.vectorized_steps} vectorized, "
-                f"{trace.row_steps} row"
-            )
-            reasons = trace.fallback_reasons()
-            if reasons:
-                details = ", ".join(
-                    f"{reason} (x{count})" for reason, count in sorted(reasons.items())
-                )
-                summary += f"; fallbacks: {details}"
-            print(summary)
     return 0
 
 

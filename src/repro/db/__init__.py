@@ -17,14 +17,9 @@ from repro.db.similarity import (
     jaccard_tokens,
     jaccard_trigram,
 )
-from repro.db.storage import ColumnData, ColumnStore, Database, Row
-from repro.db.vectorized import COLUMNAR_MIN_ROWS, ColumnarTrace
+from repro.db.storage import Database, Row
 
 __all__ = [
-    "COLUMNAR_MIN_ROWS",
-    "ColumnData",
-    "ColumnStore",
-    "ColumnarTrace",
     "Database",
     "ExecutorSession",
     "MAX_CROSS_PRODUCT",

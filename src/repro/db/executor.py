@@ -147,7 +147,8 @@ def finish_rows(
     and naive execution agree bit-for-bit past the join.
 
     ``recorder`` (a :class:`~repro.perf.PerfRecorder`) gets ``group``
-    and ``sort`` stage timings when provided.
+    and ``sort`` stage timings when provided; each stage counts the
+    rows it takes in.
     """
 
     def stage(name: str):
@@ -157,7 +158,9 @@ def finish_rows(
         isinstance(i, Aggregate) for i in query.select
     )
 
-    with stage("group"):
+    with stage("group") as group_stats:
+        if group_stats is not None:
+            group_stats.items += len(joined)
         if query.group_by or has_aggregates:
             output = _execute_grouped(query, joined, subquery_values)
         else:
@@ -176,18 +179,17 @@ def apply_distinct_order_limit(
 ) -> list[Row]:
     """The tail of the pipeline: DISTINCT → ORDER BY → LIMIT.
 
-    Shared between :func:`finish_rows` and the columnar executor's
-    grouped finish (:mod:`repro.db.vectorized`), so deduplication and
-    ordering cannot diverge between arms.  DISTINCT keys on
-    ``tuple(row.values())`` *including* any ``__order__`` helper
-    columns, exactly as the row pipeline always has.
+    DISTINCT keys on ``tuple(row.values())`` *including* any
+    ``__order__`` helper columns.
     """
 
     def stage(name: str):
         return recorder.stage(name) if recorder is not None else nullcontext()
 
     if query.distinct:
-        with stage("group"):
+        with stage("group") as group_stats:
+            if group_stats is not None:
+                group_stats.items += len(output)
             seen: set[tuple] = set()
             unique = []
             for row in output:
@@ -198,7 +200,9 @@ def apply_distinct_order_limit(
             output = unique
 
     if query.order_by:
-        with stage("sort"):
+        with stage("sort") as sort_stats:
+            if sort_stats is not None:
+                sort_stats.items += len(output)
             output = _order_rows(output, query)
 
     if query.limit is not None:

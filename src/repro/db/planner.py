@@ -54,17 +54,6 @@ from repro.db.executor import (
 from repro.db.expressions import JoinedRow, evaluate_predicate
 from repro.db.index import ValueIndex
 from repro.db.storage import Database, Row
-from repro.db.vectorized import (
-    COLUMNAR_MIN_ROWS,
-    ColumnarTrace,
-    NotVectorizable,
-    execute_columnar,
-    probe_finish,
-    probe_join,
-    probe_scan,
-    should_use_columnar,
-)
-from repro.db.vectorized import available as columnar_available
 from repro.perf.instrumentation import PerfRecorder
 from repro.sql.ast import (
     And,
@@ -337,7 +326,6 @@ def execute_planned(
     max_rows: int | None = None,
     session: "ExecutorSession | None" = None,
     recorder: PerfRecorder | None = None,
-    columnar: bool | None = None,
 ) -> list[Row]:
     """Execute ``query`` through the planner.
 
@@ -345,20 +333,9 @@ def execute_planned(
     row order) on every query both can run; additionally runs queries
     whose filtered/joined intermediate fits even when the raw cross
     product would trip the naive guard.
-
-    ``columnar`` selects the execution arm per query: ``None`` (auto)
-    engages the vectorized columnar kernels when the largest planned
-    table reaches :data:`~repro.db.vectorized.COLUMNAR_MIN_ROWS`,
-    ``True`` forces them, ``False`` disables them.  The columnar arm is
-    bit-identical by construction — any step it cannot vectorize falls
-    back to the row code over the same intermediate — so the choice is
-    purely a performance knob.  Unset, it inherits the session's
-    ``columnar`` setting when a session is given.
     """
     if recorder is None and session is not None:
         recorder = session.recorder
-    if columnar is None and session is not None:
-        columnar = session.columnar
     plan = build_plan(query, database)
     if plan.uses_naive_fallback:
         return execute(query, database, max_rows=max_rows)
@@ -379,24 +356,6 @@ def execute_planned(
     ):
         return finish_rows(query, [], subquery_values, max_rows=max_rows,
                            recorder=recorder)
-
-    if should_use_columnar(plan, database, columnar):
-        trace = ColumnarTrace()
-        try:
-            result = execute_columnar(
-                plan, database, session, subquery_values, recorder,
-                max_rows, trace,
-            )
-        except NotVectorizable as exc:
-            # Defensive: the columnar arm falls back per step, so this
-            # should not escape — but if it does, run the row arm.
-            trace.record("plan", "row", exc.reason)
-            if session is not None:
-                session.note_columnar(trace)
-        else:
-            if session is not None:
-                session.note_columnar(trace)
-            return result
 
     with stage("scan") as scan_stats:
         base_rows = _run_scan(plan.base, database, session, subquery_values)
@@ -429,7 +388,9 @@ def execute_planned(
                 join_stats.items += len(joined)
 
     if plan.residual:
-        with stage("filter"):
+        with stage("filter") as filter_stats:
+            if filter_stats is not None:
+                filter_stats.items += len(joined)
             joined = [
                 jr
                 for jr in joined
@@ -546,7 +507,6 @@ class ExecutorSession:
         value_index: ValueIndex | None = None,
         cache_size: int = 256,
         recorder: PerfRecorder | None = None,
-        columnar: bool | None = None,
     ) -> None:
         self.database = database
         self.value_index = value_index
@@ -557,13 +517,6 @@ class ExecutorSession:
         self._db_version = database.version
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Columnar arm policy for every query run through this session:
-        #: None = auto (row-count threshold), True = force, False = off.
-        self.columnar = columnar
-        self.columnar_vectorized_steps = 0
-        self.columnar_row_steps = 0
-        self._columnar_fallbacks: dict[str, int] = {}
-        self.last_columnar_trace: ColumnarTrace | None = None
 
     # -- caching -------------------------------------------------------
 
@@ -600,16 +553,6 @@ class ExecutorSession:
         copied = [dict(row) for row in rows]
         return copied[:max_rows] if max_rows is not None else copied
 
-    def note_columnar(self, trace: ColumnarTrace) -> None:
-        """Fold one columnar execution's arm decisions into the session."""
-        self.last_columnar_trace = trace
-        self.columnar_vectorized_steps += trace.vectorized_steps
-        self.columnar_row_steps += trace.row_steps
-        for reason, count in trace.fallback_reasons().items():
-            self._columnar_fallbacks[reason] = (
-                self._columnar_fallbacks.get(reason, 0) + count
-            )
-
     def stats(self) -> dict:
         """JSON-ready snapshot: cache counters + per-stage timings."""
         total = self.cache_hits + self.cache_misses
@@ -620,12 +563,6 @@ class ExecutorSession:
             "cache_size": len(self._cache),
             "cache_capacity": self._cache_size,
             "stages": self.recorder.report(),
-            "columnar": {
-                "mode": {None: "auto", True: "on", False: "off"}[self.columnar],
-                "vectorized_steps": self.columnar_vectorized_steps,
-                "row_steps": self.columnar_row_steps,
-                "fallback_reasons": dict(self._columnar_fallbacks),
-            },
         }
 
     # -- scans ---------------------------------------------------------
@@ -674,13 +611,6 @@ def explain(query: Query, database: Database) -> str:
         )
         return "\n".join(lines)
 
-    annotate = columnar_available()
-
-    def arm_note(reason: str) -> str:
-        if not annotate:
-            return ""
-        return " [vectorized]" if not reason else f" [row: {reason}]"
-
     def scan_line(scan: ScanStep) -> str:
         parts = [
             f"scan {scan.table} "
@@ -693,22 +623,17 @@ def explain(query: Query, database: Database) -> str:
             parts.append(f"filter {rendered}")
         return " ".join(parts)
 
-    lines.append(f"  {scan_line(plan.base)}{arm_note(probe_scan(plan.base, database))}")
+    lines.append(f"  {scan_line(plan.base)}")
     for step in plan.joins:
         if step.is_hash_join:
             conditions = " AND ".join(
                 f"{bound} = {new}" for bound, new in step.keys
             )
-            reason = probe_scan(step.scan, database) or probe_join(step, database)
-            lines.append(
-                f"  hash join: {scan_line(step.scan)} ON {conditions}"
-                f"{arm_note(reason)}"
-            )
+            lines.append(f"  hash join: {scan_line(step.scan)} ON {conditions}")
         else:
             lines.append(
                 f"  cross product: {scan_line(step.scan)} "
                 f"(no join predicate; guarded at {MAX_CROSS_PRODUCT:,} rows)"
-                f"{arm_note(probe_scan(step.scan, database))}"
             )
     if plan.constants:
         rendered = " AND ".join(predicate_to_sql(p) for p in plan.constants)
@@ -733,14 +658,4 @@ def explain(query: Query, database: Database) -> str:
         lines.append(f"  sort by {keys}")
     if plan.query.limit is not None:
         lines.append(f"  limit {plan.query.limit}")
-    if annotate:
-        engaged = should_use_columnar(plan, database, None)
-        finish_reason = probe_finish(plan.query, database)
-        finish = "vectorized" if not finish_reason else f"row ({finish_reason})"
-        status = (
-            "auto: engaged"
-            if engaged
-            else f"auto: below threshold ({COLUMNAR_MIN_ROWS} rows)"
-        )
-        lines.append(f"  columnar {status}; finish {finish}")
     return "\n".join(lines)

@@ -17,215 +17,17 @@ Reads come in two explicit flavours:
 
 The :attr:`Database.version` counter increments on every insert so
 caching layers (hash indexes, result caches) can detect staleness.
-
-Alongside the row view the database maintains a lazily built *columnar*
-view: a :class:`ColumnStore` per table holding one numpy array per
-column (plus a null mask), dtype-mapped from the column's
-:class:`~repro.schema.column.ColumnType`.  The vectorized executor
-(:mod:`repro.db.vectorized`) evaluates predicates, join probes, and
-aggregates against these arrays; columns whose values do not round-trip
-a clean dtype (mixed types, huge integers, strings with embedded NULs)
-are marked non-vectorizable and the executor falls back to the row path
-for any step touching them.  Column stores are invalidated through the
-same version counter as every other cache: an insert drops the table's
-store and the next columnar read rebuilds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
-
-try:  # numpy is a declared dependency, but degrade gracefully without it
-    import numpy as np
-except ImportError:  # pragma: no cover - baked into the image
-    np = None  # type: ignore[assignment]
 
 from repro.errors import ExecutionError, SchemaError
 from repro.schema.column import ColumnType
 from repro.schema.schema import Schema
 
 Row = dict[str, Any]
-
-#: Integers with |v| <= 2**53 are exactly representable as float64, so
-#: int-vs-float comparisons and joins can be vectorized in float space.
-FLOAT_EXACT_INT = 2**53
-
-#: Text columns whose longest value exceeds this many characters are not
-#: materialized as fixed-width unicode arrays (memory blowup guard).
-MAX_TEXT_WIDTH = 512
-
-
-@dataclass
-class ColumnData:
-    """One column as a numpy array plus nullness metadata.
-
-    ``values`` holds a fill value (0 / 0.0 / "") at null slots; ``nulls``
-    is a boolean mask or ``None`` when the column has no NULLs.  ``kind``
-    is the array's logical kind (``int`` / ``float`` / ``str``).
-    ``exact`` means ``values.astype(object).tolist()`` reproduces the
-    stored Python values bit-identically (type and value), so the array
-    may be used to *materialize* output values, not just to filter.
-    ``float_safe`` means every numeric value is exactly representable as
-    a float64, so cross-kind int/float comparisons stay exact.
-    """
-
-    values: Any  # np.ndarray
-    nulls: Any | None  # np.ndarray[bool] | None
-    kind: str  # "int" | "float" | "str"
-    exact: bool
-    float_safe: bool
-
-    @property
-    def has_nulls(self) -> bool:
-        return self.nulls is not None
-
-
-_KIND_BY_CTYPE = {
-    ColumnType.INTEGER: "int",
-    ColumnType.FLOAT: "float",
-    ColumnType.TEXT: "str",
-    ColumnType.DATE: "str",
-}
-
-
-def _build_column(values: list[Any], ctype: ColumnType) -> "ColumnData | None":
-    """Build one column's array, or ``None`` when not vectorizable."""
-    if np is None:
-        return None
-    null_flags = [v is None for v in values]
-    any_nulls = any(null_flags)
-    nulls = np.array(null_flags, dtype=bool) if any_nulls else None
-    present = [v for v in values if v is not None]
-
-    if not present:  # empty or all-NULL: kind from the declared type
-        kind = _KIND_BY_CTYPE[ctype]
-        dtype = {"int": np.int64, "float": np.float64, "str": "U1"}[kind]
-        return ColumnData(
-            values=np.zeros(len(values), dtype=dtype),
-            nulls=nulls,
-            kind=kind,
-            exact=True,
-            float_safe=True,
-        )
-
-    # type() (not isinstance) so bools never pass as ints.
-    if all(type(v) is int for v in present):
-        try:
-            arr = np.array(
-                [0 if v is None else v for v in values], dtype=np.int64
-            )
-        except OverflowError:
-            return None
-        float_safe = all(-FLOAT_EXACT_INT <= v <= FLOAT_EXACT_INT for v in present)
-        return ColumnData(arr, nulls, "int", exact=True, float_safe=float_safe)
-
-    if all(type(v) in (int, float) for v in present):
-        if any(v != v for v in present):  # NaN: ==/sort semantics diverge
-            return None
-        try:
-            arr = np.array(
-                [0.0 if v is None else v for v in values], dtype=np.float64
-            )
-        except OverflowError:
-            return None
-        all_float = all(type(v) is float for v in present)
-        float_safe = all(
-            type(v) is float or -FLOAT_EXACT_INT <= v <= FLOAT_EXACT_INT
-            for v in present
-        )
-        return ColumnData(arr, nulls, "float", exact=all_float, float_safe=float_safe)
-
-    if all(type(v) is str for v in present):
-        if any("\x00" in v for v in present):  # U-dtype drops trailing NULs
-            return None
-        if max(len(v) for v in present) > MAX_TEXT_WIDTH:
-            return None
-        arr = np.array(["" if v is None else v for v in values])
-        return ColumnData(arr, nulls, "str", exact=True, float_safe=False)
-
-    return None  # mixed / unsupported value types: row path only
-
-
-class ColumnStore:
-    """Columnar snapshot of one table at one :attr:`Database.version`.
-
-    Arrays are built lazily per column on first access and cached for
-    the life of the store; the owning :class:`Database` drops the store
-    whenever the table changes, so a store never serves stale data.
-    """
-
-    def __init__(self, database: "Database", table_name: str) -> None:
-        self.table = table_name
-        self.version = database.version
-        self._rows = database.scan(table_name)
-        self.length = len(self._rows)
-        self._ctypes = {
-            c.name: c.ctype for c in database.schema.table(table_name).columns
-        }
-        self._columns: dict[str, ColumnData | None] = {}
-        self._non_null: dict[str, list[Any]] = {}
-        self._codes: dict[str, "tuple[Any, int, Any] | None"] = {}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ColumnStore({self.table!r}, rows={self.length})"
-
-    def column(self, name: str) -> ColumnData | None:
-        """The column's array bundle, or ``None`` when not vectorizable."""
-        if name not in self._columns:
-            if name not in self._ctypes:
-                raise SchemaError(
-                    f"table {self.table!r} has no column {name!r}"
-                )
-            self._columns[name] = _build_column(
-                [row[name] for row in self._rows], self._ctypes[name]
-            )
-        return self._columns[name]
-
-    def factorize(self, name: str) -> "tuple[Any, int, Any] | None":
-        """Dictionary codes for one column, or ``None`` if not vectorizable.
-
-        Returns ``(codes, cardinality, dictionary)``: an int64 code array
-        over storage order where equal values share a code, the sorted
-        array of distinct non-NULL values (``dictionary[c]`` is code
-        ``c``'s value), and the cardinality — ``len(dictionary)`` plus one
-        when NULLs are present, which take the dedicated top code.  Code
-        *values* carry no meaning beyond equality — the executor's
-        group-by and DISTINCT kernels order groups by first appearance,
-        never by code — and equi-joins merge two columns' dictionaries
-        into a shared code space instead of re-uniquing full columns.
-        Cached for the life of the store, so repeated queries pay the
-        ``np.unique`` sort once per table version instead of per query.
-        """
-        if name not in self._codes:
-            data = self.column(name)
-            if data is None:
-                self._codes[name] = None
-            elif self.length == 0:
-                self._codes[name] = (
-                    np.zeros(0, dtype=np.int64), 1, data.values[:0]
-                )
-            else:
-                uniq, inverse = np.unique(data.values, return_inverse=True)
-                codes = inverse.astype(np.int64).reshape(self.length)
-                card = int(codes.max()) + 1
-                if data.nulls is not None:
-                    codes = np.where(data.nulls, card, codes)
-                    card += 1
-                self._codes[name] = (codes, card, uniq)
-        return self._codes[name]
-
-    def non_null_values(self, name: str) -> list[Any]:
-        """Non-null values in insertion order (cached; do not mutate)."""
-        if name not in self._non_null:
-            if name not in self._ctypes:
-                raise SchemaError(
-                    f"table {self.table!r} has no column {name!r}"
-                )
-            self._non_null[name] = [
-                row[name] for row in self._rows if row[name] is not None
-            ]
-        return self._non_null[name]
 
 
 class Database:
@@ -235,7 +37,6 @@ class Database:
         self.schema = schema
         self._rows: dict[str, list[Row]] = {t.name: [] for t in schema.tables}
         self._views: dict[str, tuple[Row, ...]] = {}
-        self._column_stores: dict[str, ColumnStore] = {}
         self._version = 0
 
     def __repr__(self) -> str:
@@ -263,7 +64,6 @@ class Database:
             )
         self._rows[table_name].append(clean)
         self._views.pop(table_name, None)
-        self._column_stores.pop(table_name, None)
         self._version += 1
 
     def insert_many(self, table_name: str, rows: Iterable[Mapping[str, Any]]) -> None:
@@ -305,34 +105,9 @@ class Database:
             )
         return len(self._rows[table_name])
 
-    def column_store(self, table_name: str) -> ColumnStore:
-        """The table's columnar view, built lazily at the current version.
-
-        Inserts drop the store (same invalidation as :meth:`scan`'s row
-        views), so a cached store always reflects the live rows.
-        """
-        if table_name not in self._rows:
-            raise SchemaError(
-                f"database {self.schema.name!r} has no table {table_name!r}"
-            )
-        store = self._column_stores.get(table_name)
-        if store is None:
-            store = ColumnStore(self, table_name)
-            self._column_stores[table_name] = store
-        return store
-
     def column_values(self, table_name: str, column_name: str) -> list[Any]:
-        """All non-null values of one column, in insertion order.
-
-        Served from the column store's cached list when one is
-        populated (the :class:`~repro.db.index.ValueIndex` and the
-        similarity lookups hit this per column); otherwise built
-        directly from the rows without forcing a store build.
-        """
+        """All non-null values of one column, in insertion order."""
         self.schema.column(table_name, column_name)
-        store = self._column_stores.get(table_name)
-        if store is not None:
-            return list(store.non_null_values(column_name))
         return [
             row[column_name]
             for row in self._rows[table_name]

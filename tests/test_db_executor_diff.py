@@ -1,19 +1,20 @@
-"""Differential property tests: naive ≡ planned ≡ columnar execution.
+"""Differential property tests: naive ≡ planned execution.
 
 The planner (:mod:`repro.db.planner`) claims bit-identical results —
 row values *and* row order — to the naive cross-product executor on
-every query both arms can run, and the vectorized columnar engine
-(:mod:`repro.db.vectorized`) claims the same against the planned row
-arm even when *forced* on tables below its row-count threshold.  This
-suite checks those claims over:
+every query both arms can run.  This suite checks that claim over:
 
 * the **seed corpora** of two schemas (every distinct canonical query
   the training pipeline synthesizes, with ``@JOIN`` expanded through
   the post-processor and placeholders bound to constants that actually
-  occur in the database), and
+  occur in the database);
 * **randomized databases**: every built-in schema populated at several
   seeds, probed with join/filter/aggregate queries derived from its
-  foreign keys and columns.
+  foreign keys and columns, including at the 400-rows-per-table size
+  the cold serving workload runs at; and
+* **dtype edges**: NULLs, values that bypass ``insert()`` coercion
+  (mixed int/float, strings in numeric columns), NaN, integers beyond
+  int64, and strings with quotes, NUL bytes or 600 characters.
 
 Divergence rules: when naive execution raises ``ExecutionError`` the
 planner may either raise too or succeed (it short-circuits predicates
@@ -25,12 +26,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.db import populate
+from repro.db import Database, populate
 from repro.db.executor import execute
 from repro.db.planner import ExecutorSession, execute_planned
 from repro.errors import ExecutionError, ReproError
 from repro.runtime.postprocess import PostProcessor, _transform_query
-from repro.schema import SCHEMA_FACTORIES, load_schema
+from repro.schema import (
+    SCHEMA_FACTORIES,
+    Schema,
+    Table,
+    floating,
+    integer,
+    load_schema,
+    text,
+)
 from repro.sql.normalize import canonical_sql
 from repro.sql.parser import parse
 from repro.sql.printer import to_sql
@@ -78,39 +87,22 @@ def corpus_queries(corpus, database):
     return queries
 
 
-def assert_arms_agree(query, database, session=None, columnar_session=None):
-    """Planned and forced-columnar output must equal naive output
-    whenever naive succeeds; the arms must agree on errors otherwise."""
+def assert_arms_agree(query, database, session=None):
+    """Planned output must equal naive output whenever naive succeeds."""
     try:
         expected = execute(query, database)
     except ExecutionError:
         # Naive refused (guard / eager predicate): the planner may
         # succeed, but any failure must stay inside the Repro
-        # exception hierarchy — and the columnar arm must mirror the
-        # planned arm exactly, success or error message alike.
+        # exception hierarchy.
         try:
-            planned = execute_planned(query, database)
-        except ReproError as exc:
-            planned, planned_error = None, str(exc)
-        else:
-            planned_error = None
-        try:
-            columnar = execute_planned(query, database, columnar=True)
-        except ReproError as exc:
-            columnar, columnar_error = None, str(exc)
-        else:
-            columnar_error = None
-        assert columnar == planned, canonical_sql(query)
-        assert columnar_error == planned_error, canonical_sql(query)
+            execute_planned(query, database)
+        except ReproError:
+            pass
         return False
     assert execute_planned(query, database) == expected, canonical_sql(query)
-    assert (
-        execute_planned(query, database, columnar=True) == expected
-    ), canonical_sql(query)
     if session is not None:
         assert session.execute(query) == expected, canonical_sql(query)
-    if columnar_session is not None:
-        assert columnar_session.execute(query) == expected, canonical_sql(query)
     return True
 
 
@@ -123,30 +115,22 @@ def test_patients_corpus_differential(patients_corpus, patients_db):
     queries = corpus_queries(patients_corpus, patients_db)
     assert len(queries) > 50
     session = ExecutorSession(patients_db)
-    columnar_session = ExecutorSession(patients_db, columnar=True)
     compared = sum(
-        assert_arms_agree(query, patients_db, session, columnar_session)
-        for query in queries
+        assert_arms_agree(query, patients_db, session) for query in queries
     )
     # The overwhelming majority of corpus queries must actually execute
-    # on all arms — the differential is vacuous otherwise.
+    # on both arms — the differential is vacuous otherwise.
     assert compared >= len(queries) * 0.9
-    # Forcing columnar on a 30-row database must actually vectorize
-    # work, not silently fall back on every step.
-    assert columnar_session.columnar_vectorized_steps > 0
 
 
 def test_geography_corpus_differential(geography_corpus, geography_db):
     queries = corpus_queries(geography_corpus, geography_db)
     assert len(queries) > 50
     session = ExecutorSession(geography_db)
-    columnar_session = ExecutorSession(geography_db, columnar=True)
     compared = sum(
-        assert_arms_agree(query, geography_db, session, columnar_session)
-        for query in queries
+        assert_arms_agree(query, geography_db, session) for query in queries
     )
     assert compared >= len(queries) * 0.9
-    assert columnar_session.columnar_vectorized_steps > 0
 
 
 def test_geography_corpus_has_real_joins(geography_corpus, geography_db):
@@ -214,10 +198,135 @@ def schema_probe_queries(database):
 
 
 @pytest.mark.parametrize("schema_name", sorted(SCHEMA_FACTORIES))
-@pytest.mark.parametrize("seed", [0, 17])
-def test_randomized_database_differential(schema_name, seed):
-    database = populate(load_schema(schema_name), rows_per_table=25, seed=seed)
+@pytest.mark.parametrize(
+    "seed, rows_per_table",
+    [
+        pytest.param(0, 25, id="0"),
+        pytest.param(17, 25, id="17"),
+        # The row count cold_patients serves at.
+        pytest.param(0, 400, id="0-400rows"),
+    ],
+)
+def test_randomized_database_differential(schema_name, seed, rows_per_table):
+    database = populate(
+        load_schema(schema_name), rows_per_table=rows_per_table, seed=seed
+    )
     session = ExecutorSession(database)
-    columnar_session = ExecutorSession(database, columnar=True)
     for query in schema_probe_queries(database):
-        assert_arms_agree(query, database, session, columnar_session)
+        assert_arms_agree(query, database, session)
+
+
+# ----------------------------------------------------------------------
+# Dtype edges
+# ----------------------------------------------------------------------
+
+_JOIN_T_U = "SELECT t.a, u.label FROM t, u WHERE t.d = u.a ORDER BY t.a"
+_QUOTED = ['he said "hi"', "O'Brien", 'mix "of\' both', "plain", ""]
+
+#: case id -> (extra ``t`` rows as (row, bypass insert coercion), queries)
+DTYPE_EDGE_CASES = {
+    # One case per query over the NULL-laden rows alone.
+    "nulls-eq": ([], ["SELECT a FROM t WHERE d = 7"]),
+    "nulls-gt": ([], ["SELECT a FROM t WHERE d > 0 ORDER BY a"]),
+    "nulls-order-by": ([], ["SELECT a, b FROM t ORDER BY b, a"]),
+    "nulls-group-count": (
+        [],
+        ["SELECT b, COUNT(*) FROM t GROUP BY b ORDER BY b"],
+    ),
+    "nulls-group-sum": ([], ["SELECT b, SUM(d) FROM t GROUP BY b"]),
+    "nulls-distinct": ([], ["SELECT DISTINCT b FROM t"]),
+    "nulls-count": ([], ["SELECT COUNT(d), COUNT(*) FROM t"]),
+    "nulls-between": ([], ["SELECT a FROM t WHERE d BETWEEN 3 AND 9"]),
+    "nulls-in": ([], ["SELECT a FROM t WHERE b IN ('x', 'z')"]),
+    "null-join-keys": ([], [_JOIN_T_U]),
+    "str-in-text-and-int": (
+        [({"a": 5, "b": 99, "c": 3.5, "d": 3}, True)],
+        ["SELECT a, b FROM t ORDER BY a", "SELECT b, COUNT(*) FROM t GROUP BY b"],
+    ),
+    "int-in-float": (
+        [({"a": 5, "b": "z", "c": 2, "d": 3}, True)],
+        ["SELECT c FROM t ORDER BY a", "SELECT a FROM t WHERE c = 2"],
+    ),
+    "nan": (
+        [({"a": 5, "b": "z", "c": float("nan"), "d": 3}, False)],
+        ["SELECT a FROM t WHERE c > 0 ORDER BY a", "SELECT DISTINCT c FROM t"],
+    ),
+    "huge-int": (
+        [({"a": 5, "b": "z", "c": 3.5, "d": 2**66}, False)],
+        ["SELECT a, d FROM t WHERE d > 0", "SELECT SUM(d), MAX(d) FROM t"],
+    ),
+    "nul-byte-string": (
+        [({"a": 5, "b": "nul\x00byte", "c": 3.5, "d": 3}, False)],
+        ["SELECT DISTINCT b FROM t", "SELECT a FROM t WHERE b = 'nul'"],
+    ),
+    "oversized-string": (
+        [({"a": 5, "b": "w" * 600, "c": 3.5, "d": 3}, False)],
+        ["SELECT a, b FROM t ORDER BY b"],
+    ),
+    "str-join-key": (
+        [({"a": 5, "b": "z", "c": 3.5, "d": "three"}, True)],
+        [_JOIN_T_U],
+    ),
+    "quoted-strings": (
+        [
+            ({"a": 10 + i, "b": b, "c": 0.5, "d": i}, False)
+            for i, b in enumerate(_QUOTED + _QUOTED)
+        ],
+        [
+            "SELECT a, b FROM t ORDER BY b, a",
+            "SELECT DISTINCT b FROM t ORDER BY b",
+            "SELECT b, COUNT(*) FROM t GROUP BY b ORDER BY b",
+        ],
+    ),
+}
+
+
+def edge_database(extra_rows) -> Database:
+    """NULL-laden rows plus a case's extra rows; ``bypass`` rows skip
+    ``insert()`` coercion, the way hand-built or externally loaded rows
+    arrive."""
+    database = Database(
+        Schema(
+            "edge",
+            [
+                Table(
+                    "t",
+                    [
+                        integer("a", primary_key=True),
+                        text("b"),
+                        floating("c"),
+                        integer("d"),
+                    ],
+                ),
+                Table("u", [integer("a", primary_key=True), text("label")]),
+            ],
+        )
+    )
+    for a, b, c, d in [
+        (0, "x", 1.5, 7),
+        (1, None, 2.5, None),
+        (2, "y", None, 3),
+        (3, "x", 0.5, None),
+        (4, None, None, 7),
+    ]:
+        database.insert("t", {"a": a, "b": b, "c": c, "d": d})
+    database.insert_many(
+        "u", [{"a": 7, "label": "seven"}, {"a": 3, "label": "three"}]
+    )
+    for row, bypass in extra_rows:
+        if bypass:
+            database._rows["t"].append(row)
+            database._views.pop("t", None)
+            database._version += 1
+        else:
+            database.insert("t", row)
+    return database
+
+
+@pytest.mark.parametrize("case", sorted(DTYPE_EDGE_CASES))
+def test_dtype_edge_differential(case):
+    extra_rows, queries = DTYPE_EDGE_CASES[case]
+    database = edge_database(extra_rows)
+    session = ExecutorSession(database)
+    for sql in queries:
+        assert assert_arms_agree(parse(sql), database, session), sql

@@ -243,15 +243,33 @@ def test_value_index_does_not_prune_present_constant(retail_db):
 
 def test_session_records_stage_timings(retail_db):
     session = ExecutorSession(retail_db)
-    session.execute(
+    join = (
+        "FROM customer, orders "
+        "WHERE orders.customer_id = customer.customer_id"
+    )
+    rows = session.execute(
         parse(
-            "SELECT customer.city, COUNT(*) FROM customer, orders "
-            "WHERE orders.customer_id = customer.customer_id "
+            f"SELECT customer.city, COUNT(*) {join} "
+            "AND orders.quantity < customer.age "
             "GROUP BY customer.city ORDER BY customer.city"
         )
     )
     stages = session.stats()["stages"]
-    assert {"scan", "join", "group", "sort"} <= set(stages)
+    assert {"scan", "join", "filter", "group", "sort"} <= set(stages)
+    # Every stage counts the rows it takes in, so throughput is real.
+    for name in ("scan", "join", "filter", "group", "sort"):
+        assert stages[name]["items"] > 0, name
+        assert stages[name]["items_per_second"] > 0, name
+    joined = len(execute(parse(f"SELECT orders.order_id {join}"), retail_db))
+    filtered = execute(
+        parse(
+            f"SELECT COUNT(*) {join} AND orders.quantity < customer.age"
+        ),
+        retail_db,
+    )[0]["COUNT(*)"]
+    assert stages["filter"]["items"] == joined
+    assert stages["group"]["items"] == filtered
+    assert stages["sort"]["items"] == len(rows)
 
 
 # ----------------------------------------------------------------------

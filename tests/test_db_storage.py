@@ -123,81 +123,3 @@ class TestScan:
         copies = db.rows("t")
         copies[0]["a"] = 999
         assert db.scan("t")[0]["a"] == 1
-
-class TestColumnStore:
-    """The lazily built columnar view behind the vectorized executor."""
-
-    def test_store_is_cached_per_version(self):
-        db = make_db()
-        db.insert("t", {"a": 1, "b": "x", "c": 1.5})
-        store = db.column_store("t")
-        assert db.column_store("t") is store
-        db.insert("t", {"a": 2, "b": "y", "c": 2.5})
-        rebuilt = db.column_store("t")
-        assert rebuilt is not store
-        assert rebuilt.length == 2
-
-    def test_column_kinds_and_null_mask(self):
-        db = make_db()
-        db.insert("t", {"a": 1, "b": "x", "c": 1.5})
-        db.insert("t", {"a": 2, "c": 2.5})
-        store = db.column_store("t")
-        assert store.column("a").kind == "int"
-        assert store.column("a").nulls is None
-        b = store.column("b")
-        assert b.kind == "str"
-        assert list(b.nulls) == [False, True]
-        assert store.column("c").kind == "float"
-
-    def test_unknown_column_raises(self):
-        db = make_db()
-        with pytest.raises(SchemaError):
-            db.column_store("t").column("zz")
-        with pytest.raises(SchemaError):
-            db.column_store("missing")
-
-    def test_insert_coercion_keeps_float_column_exact(self):
-        db = make_db()
-        db.insert("t", {"a": 1, "c": 1.5})
-        db.insert("t", {"a": 2, "c": 2})  # coerced to 2.0 on insert
-        store = db.column_store("t")
-        # Mixed types can only enter by bypassing insert(); the coerced
-        # column stays exact (the dtype-edge suite covers the bypass).
-        assert store.column("c").exact
-        assert store.column("a").exact
-
-    def test_factorize_codes_and_null_top_code(self):
-        db = make_db()
-        for b in ("x", "y", None, "x"):
-            db.insert("t", {"a": db.row_count("t"), "b": b})
-        codes, card, dictionary = db.column_store("t").factorize("b")
-        # Dictionary over the fill-valued array: the "" NULL-fill slot
-        # is present but unused (NULL rows take the top code instead).
-        assert card == 4
-        assert list(dictionary) == ["", "x", "y"]
-        assert codes[0] == codes[3] != codes[1]
-        assert codes[2] == card - 1  # NULL takes the dedicated top code
-
-    def test_factorize_is_cached(self):
-        db = make_db()
-        db.insert("t", {"a": 1, "b": "x"})
-        store = db.column_store("t")
-        first = store.factorize("b")
-        assert store.factorize("b") is first
-
-    def test_column_values_served_from_store_matches_rows(self):
-        db = make_db()
-        db.insert("t", {"a": 1, "b": "x"})
-        db.insert("t", {"a": 2})
-        before = db.column_values("t", "b")  # row path: no store yet
-        store = db.column_store("t")
-        store.non_null_values("b")  # populate the cached list
-        assert db.column_values("t", "b") == before == ["x"]
-
-    def test_column_values_invalidated_by_insert(self):
-        db = make_db()
-        db.insert("t", {"a": 1, "b": "x"})
-        db.column_store("t").non_null_values("b")
-        assert db.column_values("t", "b") == ["x"]
-        db.insert("t", {"a": 2, "b": "y"})  # drops the cached store
-        assert db.column_values("t", "b") == ["x", "y"]
