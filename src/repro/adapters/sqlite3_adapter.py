@@ -41,8 +41,10 @@ Three jobs, one file:
 
 from __future__ import annotations
 
+import functools
 import re
 import sqlite3
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -316,9 +318,26 @@ def split_identifier(name: str) -> str:
 # ----------------------------------------------------------------------
 
 
+def _serialized(method):
+    """Run ``method`` under the adapter's lock (see :class:`SqliteAdapter`)."""
+
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        with self._lock:
+            return method(self, *args, **kwargs)
+
+    return locked
+
+
 @register_backend("sqlite")
 class SqliteAdapter(BackendAdapter):
-    """Backend over a sqlite3 database file (or ``:memory:``)."""
+    """Backend over a sqlite3 database file (or ``:memory:``).
+
+    One adapter may be shared by threads (a ``DBPal`` facade, serving
+    repair): the connection is opened with ``check_same_thread=False``
+    and every use of it, together with the extent cache, runs under one
+    re-entrant adapter lock.
+    """
 
     capabilities = Capabilities(
         name="sqlite",
@@ -340,6 +359,7 @@ class SqliteAdapter(BackendAdapter):
         self._schema_name = schema_name
         self._conn: sqlite3.Connection | None = None
         self._extent_cache: dict[str, int] = {}
+        self._lock = threading.RLock()
         #: Warnings from the last :meth:`introspect` call.
         self.last_introspection = LintReport()
 
@@ -359,22 +379,25 @@ class SqliteAdapter(BackendAdapter):
 
     # -- lifecycle -----------------------------------------------------
 
+    @_serialized
     def connect(self) -> "SqliteAdapter":
         if self._conn is None:
             try:
-                self._conn = sqlite3.connect(self.path)
+                self._conn = sqlite3.connect(self.path, check_same_thread=False)
             except sqlite3.Error as exc:
                 raise BackendError(
                     f"cannot open sqlite database {self.path!r}: {exc}"
                 ) from exc
         return self
 
+    @_serialized
     def close(self) -> None:
         if self._conn is not None:
             self._conn.close()
             self._conn = None
 
     @property
+    @_serialized
     def connection(self) -> sqlite3.Connection:
         if self._conn is None:
             self.connect()
@@ -382,6 +405,7 @@ class SqliteAdapter(BackendAdapter):
 
     # -- DDL and loading -----------------------------------------------
 
+    @_serialized
     def create(self, schema: Schema, enforce_keys: bool | None = None) -> None:
         """Create ``schema``'s tables (which must not already exist).
 
@@ -438,6 +462,7 @@ class SqliteAdapter(BackendAdapter):
         self._schema = schema
         self._extent_cache.clear()
 
+    @_serialized
     def load(self, database: Database) -> None:
         """Bulk-load ``database`` in insertion order (one transaction)."""
         schema = database.schema
@@ -468,6 +493,7 @@ class SqliteAdapter(BackendAdapter):
     # -- execution -----------------------------------------------------
 
     @property
+    @_serialized
     def schema(self) -> Schema:
         if self._schema is None:
             self._schema = self.introspect()
@@ -491,6 +517,7 @@ class SqliteAdapter(BackendAdapter):
             extents[table] = self._extent_cache[table]
         return extents
 
+    @_serialized
     def execute(self, query: Query, max_rows: int | None = None) -> list[Row]:
         schema = self.schema
         for table in query.from_tables:
@@ -534,6 +561,7 @@ class SqliteAdapter(BackendAdapter):
 
     # -- introspection -------------------------------------------------
 
+    @_serialized
     def introspect(self) -> Schema:
         """Read the live database into a :class:`Schema` (see module doc)."""
         report = LintReport()

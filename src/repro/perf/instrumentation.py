@@ -11,13 +11,18 @@ Parallel synthesis workers time their own stages and return plain
 ``{stage: seconds}`` dicts; the parent merges them with
 :meth:`PerfRecorder.add`, so a report over a multi-process run shows
 aggregate CPU seconds per stage next to the observed wall-clock.
+
+A recorder is thread-safe: every update and snapshot takes its own
+lock, so serving threads report into one recorder without holding
+anything of their own.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 class StageTimer:
@@ -99,6 +104,9 @@ class PerfRecorder:
     """Accumulates per-stage wall-clock time and throughput counters."""
 
     stages: dict[str, StageStats] = field(default_factory=dict)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def add(self, stage: str, seconds: float, items: int = 0) -> None:
         """Fold one measurement into ``stage``'s running totals.
@@ -108,34 +116,41 @@ class PerfRecorder:
         enough for the wall-clock bracket; use :meth:`stage` when the
         exact span matters.
         """
-        stats = self.stages.setdefault(stage, StageStats())
-        stats.seconds += seconds
-        stats.calls += 1
-        stats.items += items
         end = time.perf_counter()
-        stats.observe_span(end - max(0.0, seconds), end)
+        with self._lock:
+            stats = self.stages.setdefault(stage, StageStats())
+            stats.seconds += seconds
+            stats.calls += 1
+            stats.items += items
+            stats.observe_span(end - max(0.0, seconds), end)
 
     def count(self, stage: str, items: int) -> None:
         """Add items to a stage without adding time (e.g. merged pairs)."""
-        stats = self.stages.setdefault(stage, StageStats())
-        stats.items += items
+        with self._lock:
+            self.stages.setdefault(stage, StageStats()).items += items
 
     @contextmanager
     def stage(self, name: str):
         """Time a ``with`` block as one call of stage ``name``.
 
-        Yields the :class:`StageStats` so the block can attach an item
-        count: ``with recorder.stage("merge") as s: ...; s.items += n``.
+        Yields a private :class:`StageStats` so the block can attach an
+        item count: ``with recorder.stage("merge") as s: ...; s.items +=
+        n``; it is folded into the shared totals when the block exits.
         """
-        stats = self.stages.setdefault(name, StageStats())
+        with self._lock:
+            self.stages.setdefault(name, StageStats())
+        local = StageStats()
         start = time.perf_counter()
         try:
-            yield stats
+            yield local
         finally:
             end = time.perf_counter()
-            stats.seconds += end - start
-            stats.calls += 1
-            stats.observe_span(start, end)
+            with self._lock:
+                stats = self.stages[name]
+                stats.seconds += end - start
+                stats.calls += 1
+                stats.items += local.items
+                stats.observe_span(start, end)
 
     def merge(self, other: "PerfRecorder") -> None:
         """Fold another recorder's totals into this one.
@@ -144,13 +159,16 @@ class PerfRecorder:
         an interrupted synthesis run plus its ``--resume`` continuation
         report as one logical run.
         """
-        for name, stats in other.stages.items():
-            mine = self.stages.setdefault(name, StageStats())
-            mine.seconds += stats.seconds
-            mine.calls += stats.calls
-            mine.items += stats.items
-            if stats.first_start is not None and stats.last_end is not None:
-                mine.observe_span(stats.first_start, stats.last_end)
+        with other._lock:
+            theirs = {name: replace(stats) for name, stats in other.stages.items()}
+        with self._lock:
+            for name, stats in theirs.items():
+                mine = self.stages.setdefault(name, StageStats())
+                mine.seconds += stats.seconds
+                mine.calls += stats.calls
+                mine.items += stats.items
+                if stats.first_start is not None and stats.last_end is not None:
+                    mine.observe_span(stats.first_start, stats.last_end)
 
     def seconds(self, stage: str) -> float:
         return self.stages[stage].seconds if stage in self.stages else 0.0
@@ -161,19 +179,20 @@ class PerfRecorder:
 
     def report(self) -> dict[str, dict[str, float]]:
         """Plain-dict snapshot (JSON-ready, for BENCH files and logs)."""
-        return {
-            name: {
-                # "seconds" predates the busy/wall split and is kept as
-                # an alias of busy_seconds for existing consumers.
-                "seconds": round(stats.seconds, 6),
-                "busy_seconds": round(stats.seconds, 6),
-                "wall_seconds": round(stats.wall_seconds, 6),
-                "calls": stats.calls,
-                "items": stats.items,
-                "items_per_second": round(stats.items_per_second, 3),
+        with self._lock:
+            return {
+                name: {
+                    # "seconds" predates the busy/wall split and is kept
+                    # as an alias of busy_seconds for existing consumers.
+                    "seconds": round(stats.seconds, 6),
+                    "busy_seconds": round(stats.seconds, 6),
+                    "wall_seconds": round(stats.wall_seconds, 6),
+                    "calls": stats.calls,
+                    "items": stats.items,
+                    "items_per_second": round(stats.items_per_second, 3),
+                }
+                for name, stats in self.stages.items()
             }
-            for name, stats in self.stages.items()
-        }
 
     def format_table(self, title: str = "perf") -> str:
         """A small fixed-width table for terminal output."""

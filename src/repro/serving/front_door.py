@@ -127,7 +127,6 @@ class ShardedService:
         self.metrics = MetricsRegistry()
         self.recorder = PerfRecorder()
         self._bucket = TokenBucket(spec.config.rate_limit, spec.config.burst)
-        self._recorder_lock = threading.Lock()
         self._ids = itertools.count(1)
         self._wire_ids = itertools.count(1)
         self._msg_ids = itertools.count(1)
@@ -346,8 +345,7 @@ class ShardedService:
                 except Exception:  # noqa: BLE001 — shard died mid-query
                     continue
         front = self.metrics.snapshot()
-        with self._recorder_lock:
-            front["stages"] = self.recorder.report()
+        front["stages"] = self.recorder.report()
         supervisor = {
             "respawns": self.metrics.counter("supervisor.respawns"),
             "quarantined": self.metrics.counter("supervisor.quarantined"),
@@ -378,8 +376,7 @@ class ShardedService:
         try:
             t0 = time.monotonic()
             pre = self._preprocess(pending.nl)
-            with self._recorder_lock:
-                self.recorder.add("preprocess", time.monotonic() - t0)
+            self.recorder.add("preprocess", time.monotonic() - t0)
         except Exception as exc:  # noqa: BLE001 — malformed input
             self._finish(
                 ServingResponse(

@@ -259,12 +259,10 @@ class TranslationService:
             self._process_batch,
             workers=cfg.workers,
             max_batch_size=cfg.max_batch_size,
-            batch_window=cfg.batch_window,
             queue_capacity=cfg.queue_capacity,
         )
         self._flights: dict[str, _Flight] = {}
         self._flights_lock = threading.Lock()
-        self._recorder_lock = threading.Lock()
         self._ids = itertools.count(1)
         self._executor: ThreadPoolExecutor | None = None
         self._lifecycle_lock = threading.Lock()
@@ -329,7 +327,7 @@ class TranslationService:
         try:
             t0 = self._clock()
             pre = self._preprocess(nl)
-            self._record("preprocess", self._clock() - t0)
+            self.recorder.add("preprocess", self._clock() - t0, items=1)
         except Exception as exc:  # noqa: BLE001 — malformed input, not a crash
             return finish(
                 ServingResponse(
@@ -461,8 +459,7 @@ class TranslationService:
                 "last_trace": self._last_repair_trace,
             }
         )
-        with self._recorder_lock:
-            snap["stages"] = self.recorder.report()
+        snap["stages"] = self.recorder.report()
         snap["stages_legend"] = dict(self.STAGES_LEGEND)
         snap["accounting"] = self._accounting(snap)
         snap["config"] = self.config.to_dict()
@@ -658,7 +655,7 @@ class TranslationService:
             self.metrics.increment("model.failed_inputs", len(batch))
             self._resolve(batch, _MODEL_DOWN, [None] * len(batch))
             return
-        self._record("model_batch", self._clock() - t0, items=len(batch))
+        self.recorder.add("model_batch", self._clock() - t0, items=len(batch))
         self.breaker.record_success()
         self.metrics.increment("model.calls", len(batch))
         self._resolve(batch, _MODEL_OK, outputs)
@@ -752,7 +749,7 @@ class TranslationService:
                         repair=trace,
                     )
         finally:
-            self._record("fallback", self._clock() - t0)
+            self.recorder.add("fallback", self._clock() - t0, items=1)
         code = "model_unavailable" if model_down else "untranslatable"
         message = (
             "model unavailable and no fallback matched"
@@ -782,7 +779,7 @@ class TranslationService:
         report = self._repair.run(
             result.query, bindings=result.bindings, location="serving"
         )
-        self._record("repair", self._clock() - t0)
+        self.recorder.add("repair", self._clock() - t0, items=1)
         self.metrics.increment("repair.requests")
         if report.outcome == REPAIR_CLEAN:
             self.metrics.increment("repair.clean")
@@ -811,7 +808,7 @@ class TranslationService:
         """Restore *this* request's constants into a (possibly shared) output."""
         t0 = self._clock()
         processed = self.nlidb.postprocessor.process(model_output, pre.bindings)
-        self._record("postprocess", self._clock() - t0)
+        self.recorder.add("postprocess", self._clock() - t0, items=1)
         return TranslationResult(
             nl=nl,
             model_input=pre.model_input,
@@ -823,7 +820,3 @@ class TranslationService:
             bindings=list(pre.bindings),
             repaired=processed.repaired if processed else False,
         )
-
-    def _record(self, stage: str, seconds: float, items: int = 1) -> None:
-        with self._recorder_lock:
-            self.recorder.add(stage, seconds, items=items)

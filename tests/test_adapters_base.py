@@ -4,6 +4,8 @@ and the seams that consume adapters (DBPal, the equivalence checker).
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.adapters import (
@@ -129,6 +131,48 @@ def test_dbpal_accepts_adapter_instance(retrieval_nlidb, patients_db):
         nlidb = DBPal(patients_db, retrieval_nlidb.model, backend=adapter)
         assert nlidb.backend is adapter
         assert nlidb.query("how many patients are there")
+
+
+def test_sqlite_facade_answers_from_other_threads(retrieval_nlidb, patients_db):
+    """A sqlite-backed facade built on one thread serves any thread."""
+    from repro.runtime import DBPal
+
+    questions = [
+        "show the name of all patients",
+        "how many patients are there",
+        "show the name of all doctors",
+        "show all patients",
+    ]
+    expected = [
+        normalize_rows(retrieval_nlidb.query(q, max_rows=20)) for q in questions
+    ]
+    nlidb = DBPal(patients_db, retrieval_nlidb.model, backend="sqlite")
+    answers: dict[int, list] = {}
+    errors: list[Exception] = []
+    barrier = threading.Barrier(4)
+
+    def client(slot: int) -> None:
+        try:
+            barrier.wait(timeout=10.0)
+            answers[slot] = [
+                nlidb.query(q, max_rows=20) for q in questions * 3
+            ]
+        except Exception as exc:  # noqa: BLE001 — reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(4)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        nlidb.backend.close()
+    assert all(not thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert sorted(answers) == [0, 1, 2, 3]
+    for rows in answers.values():
+        assert rows == expected * 3
 
 
 def test_dbpal_rejects_unknown_backend(patients_db):

@@ -249,3 +249,36 @@ class TestStageStatsZeroGuards:
         assert recorder.format_table()  # no stages: header only, no crash
         recorder.count("merge", 0)
         assert "merge" in recorder.format_table()
+
+
+class TestPerfRecorderThreadSafety:
+    """Threads report into one recorder without a lock of their own."""
+
+    def test_concurrent_adds_lose_nothing(self):
+        import sys
+        import threading
+
+        from repro.perf import PerfRecorder
+
+        recorder = PerfRecorder()
+        barrier = threading.Barrier(8)
+
+        def worker() -> None:
+            barrier.wait()
+            for _ in range(2000):
+                recorder.add("hot", 1e-6, items=1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        report = recorder.report()["hot"]
+        assert report["calls"] == 16_000
+        assert report["items"] == 16_000
+

@@ -37,14 +37,14 @@ class TestServingConfig:
     def test_defaults_valid(self):
         config = ServingConfig()
         assert config.workers >= 1
-        assert set(config.to_dict()) >= {"workers", "batch_window", "cache_ttl"}
+        assert set(config.to_dict()) >= {"workers", "max_batch_size", "cache_ttl"}
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"workers": 0},
             {"max_batch_size": 0},
-            {"batch_window": -0.1},
+            {"preprocess_cache_capacity": -1},
             {"queue_capacity": -1},
             {"request_timeout": 0},
             {"rate_limit": -1.0},
@@ -52,6 +52,10 @@ class TestServingConfig:
             {"failure_threshold": 0},
             {"cooldown": -1.0},
             {"cache_capacity": -1},
+            {"repair_attempts": -1},
+            {"repair_deadline": 0},
+            {"repair_execute_timeout": 0},
+            {"repair_max_rows": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -210,38 +214,85 @@ class TestKeywordFallback:
 
 class TestMicroBatcher:
     def test_batches_respect_max_size(self):
+        """A worker dispatches exactly what is queued, at most 4 at a time.
+
+        The worker is held inside ``process`` on its first batch while 9
+        more requests queue up, so the batch sizes are deterministic.
+        """
         seen: list[list[str]] = []
-        done = threading.Event()
+        entered = threading.Event()
+        release = threading.Event()
 
         def process(batch):
             seen.append([r.key for r in batch])
+            entered.set()
+            release.wait(timeout=5.0)
             for request in batch:
                 request.future.set_result(("model_ok", request.key.upper()))
-            if sum(len(b) for b in seen) >= 10:
-                done.set()
 
-        batcher = MicroBatcher(
-            process, workers=1, max_batch_size=4, batch_window=0.05
-        )
+        batcher = MicroBatcher(process, workers=1, max_batch_size=4)
         batcher.start()
         try:
             requests = [BatchRequest(key=f"q{i}", model_input=f"q{i}") for i in range(10)]
-            for request in requests:
+            assert batcher.submit(requests[0])
+            assert entered.wait(timeout=5.0)
+            for request in requests[1:]:
                 assert batcher.submit(request)
-            done.wait(timeout=5.0)
+            release.set()
             results = [r.future.result(timeout=5.0) for r in requests]
         finally:
+            release.set()
             batcher.stop()
+        assert [len(batch) for batch in seen] == [1, 4, 4, 1]
+        assert [key for batch in seen for key in batch] == [f"q{i}" for i in range(10)]
         assert [value for _status, value in results] == [f"Q{i}" for i in range(10)]
-        assert max(len(batch) for batch in seen) <= 4
-        # The window coalesced at least one multi-request batch.
-        assert any(len(batch) > 1 for batch in seen)
+
+    def test_stop_drains_queued_requests(self):
+        """``stop()`` with work still queued resolves every future and
+        joins every worker (each stop sentinel ends one worker's loop)."""
+        entered = threading.Semaphore(0)
+        release = threading.Event()
+
+        def process(batch):
+            entered.release()
+            release.wait(timeout=5.0)
+            for request in batch:
+                request.future.set_result(("model_ok", request.key))
+
+        batcher = MicroBatcher(process, workers=2, max_batch_size=2)
+        batcher.start()
+        threads = list(batcher._threads)
+        requests = [BatchRequest(key=f"q{i}", model_input=f"q{i}") for i in range(7)]
+        stopper = threading.Thread(target=batcher.stop)
+        try:
+            # Pin both workers inside ``process``, then queue the rest.
+            for request in requests[:2]:
+                assert batcher.submit(request)
+                assert entered.acquire(timeout=5.0)
+            for request in requests[2:]:
+                assert batcher.submit(request)
+            stopper.start()
+            # Both stop sentinels are queued behind the 5 requests.
+            for _ in range(1000):
+                if batcher._queue.qsize() == 7:
+                    break
+                stopper.join(timeout=0.005)
+            assert batcher._queue.qsize() == 7
+        finally:
+            release.set()
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive()
+        assert not batcher.running
+        assert all(not thread.is_alive() for thread in threads)
+        assert [r.future.result(timeout=0) for r in requests] == [
+            ("model_ok", f"q{i}") for i in range(7)
+        ]
 
     def test_crashing_callback_resolves_futures(self):
         def process(batch):
             raise RuntimeError("boom")
 
-        batcher = MicroBatcher(process, workers=1, max_batch_size=2, batch_window=0.0)
+        batcher = MicroBatcher(process, workers=1, max_batch_size=2)
         batcher.start()
         try:
             request = BatchRequest(key="k", model_input="k")
@@ -260,7 +311,7 @@ class TestMicroBatcher:
                 request.future.set_result(("model_ok", None))
 
         batcher = MicroBatcher(
-            process, workers=1, max_batch_size=1, batch_window=0.0, queue_capacity=1
+            process, workers=1, max_batch_size=1, queue_capacity=1
         )
         batcher.start()
         try:

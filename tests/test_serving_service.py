@@ -42,7 +42,7 @@ class ScriptedModel(TranslationModel):
 
 def make_service(patients_db, **config_kwargs) -> tuple[TranslationService, ScriptedModel]:
     model = ScriptedModel()
-    defaults = dict(workers=2, batch_window=0.002, request_timeout=5.0)
+    defaults = dict(workers=2, request_timeout=5.0)
     defaults.update(config_kwargs)
     service = TranslationService(
         DBPal(patients_db, model), ServingConfig(**defaults)
@@ -461,3 +461,21 @@ class TestCliServe(object):
         written = json.loads(stats_path.read_text())
         assert written["requests_total"] == 1
         assert written["breaker"]["state"] in ("closed", "open", "half_open")
+
+    def test_serve_flags_mirror_serving_config(self, capsys):
+        """``repro serve`` grows one flag per ServingConfig field, no more."""
+        import re
+        from dataclasses import fields
+
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        section = out.split("serving parameters:", 1)[1]
+        flags = re.findall(r"^\s+(--[a-z][a-z0-9-]*)", section, re.MULTILINE)
+        assert flags == [
+            "--" + f.name.replace("_", "-") for f in fields(ServingConfig)
+        ]
+        assert "--batch-window" not in out
